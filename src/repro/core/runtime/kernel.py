@@ -20,7 +20,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ...machine.cluster import SimCluster
 from ...machine.faults import FaultError, LinkFailure, NodeFailure, TransientError
-from ...machine.simulator import Environment, Event, Interrupt, Process
+from ...machine.simulator import Environment, Event, Interrupt, Process, Task
 from ...mpi.detector import FailureDetector, HeartbeatConfig
 from ...perf.cache import cache_scope, invalidate_mapping_caches
 from ...perf.registry import REGISTRY
@@ -138,7 +138,10 @@ class SageRuntime:
         # own exclusively, so one tenant's membership change cannot evict
         # another tenant's cached placements (see repro.perf.cache).
         self.job_scope = job_scope
+        # Thread processes that may still be running, and the sends in
+        # flight (insertion-ordered; a send drops out when it ends).
         self._live_procs: List[Process] = []
+        self._sends: Dict["_Send", None] = {}
         # Shrinking recovery state: placement overrides installed after a
         # permanent node loss (consulted by processor_of), the processors
         # still in the working set, and the heartbeat detector race event.
@@ -315,8 +318,23 @@ class SageRuntime:
                 done = self.env.all_of(procs)
                 self.env.run(until=done)
                 return self._build_result(iterations)
+        except BaseException:
+            # Take the run's in-flight transfers and thread processes down
+            # with it, so nothing the abort stranded raises later.
+            self._interrupt_live("run aborted")
+            raise
         finally:
             self._stop_detector()
+
+    def _interrupt_live(self, cause: str) -> None:
+        """Interrupt every live thread process, then every send in flight."""
+        for proc in self._live_procs:
+            if proc.is_alive:
+                proc.interrupt(cause)
+        for send in self._sends:
+            send.interrupt(cause)
+        self._live_procs = []
+        self._sends = {}
 
     def _spawn_iteration(self, k: int) -> List[Process]:
         """Create iteration ``k``'s bookkeeping events and thread processes."""
@@ -337,7 +355,7 @@ class SageRuntime:
                         name=f"{entry['name']}[{t}]#{k}",
                     )
                 )
-        self._live_procs = list(procs)
+        self._live_procs = [p for p in self._live_procs if p.is_alive] + procs
         return procs
 
     def _build_result(self, iterations: int) -> RunResult:
@@ -489,12 +507,8 @@ class SageRuntime:
     def _recover(self, k: int, snapshot: List[dict], exc: BaseException) -> None:
         """Roll iteration ``k`` back to its checkpoint after a fault."""
         # Kill every straggler of the failed attempt before state is reset;
-        # they die at the current instant via the Interrupt handlers in
-        # _thread_proc/_transfer_proc, releasing any held resources.
-        for proc in self._live_procs:
-            if proc.is_alive:
-                proc.interrupt("fault recovery")
-        self._live_procs = []
+        # they die at the current instant, releasing any held resources.
+        self._interrupt_live("fault recovery")
         injector = self.cluster.faults
         revived: List[int] = []
         if injector is not None:
@@ -639,17 +653,7 @@ class SageRuntime:
                 buf, lambda f, t: old_proc[(f, t)], new_map.processor_of
             ):
                 transfers.append((mirror_of(old), new, nbytes, label))
-        procs = [
-            self.env.process(
-                self._restripe_transfer(src, dst, nbytes, label, k),
-                name=f"restripe:{label}",
-            )
-            for src, dst, nbytes, label in transfers
-            if src != dst and nbytes > 0
-        ]
-        if procs:
-            self.env.run(until=self.env.all_of(procs))
-        total = sum(nbytes for _, _, nbytes, _ in transfers)
+        total = self._move_regions(transfers, k)
         self._probe_runtime(
             "restripe",
             detail=(
@@ -673,40 +677,19 @@ class SageRuntime:
             delay *= 1.0 + j * (2.0 * self._backoff_rng.random() - 1.0)
         return delay
 
-    def _restripe_transfer(self, src: int, dst: int, nbytes: int,
-                           label: str, iteration: int):
-        """Move one checkpointed region to its new owner, with retries."""
-        policy = self.fault_policy
-        attempts = 1 + policy.max_retries
-        delay = policy.backoff
-        failure: Any = None
-        for attempt in range(1, attempts + 1):
-            try:
-                outcome = yield from self.cluster.transfer(src, dst, nbytes)
-            except LinkFailure as exc:
-                if attempt >= attempts:
-                    raise
-                failure = exc
-            else:
-                if outcome.ok:
-                    return
-                failure = outcome.reason
-                if attempt >= attempts:
-                    break
-            self._probe_runtime(
-                "retry",
-                detail=f"restripe {label} {src}->{dst} attempt {attempt}: {failure}",
-                processor=src,
-                iteration=iteration,
-            )
-            if delay > 0:
-                yield self.env.timeout(self._jittered(delay))
-            delay *= policy.backoff_factor
-        raise TransportError(
-            f"restripe transfer {label} from processor {src} to {dst} "
-            f"undelivered: {failure}; gave up after {attempts} attempt(s) "
-            f"at t={self.env.now:.6f}"
-        )
+    def _move_regions(self, transfers: List[Tuple[int, int, int, str]],
+                      k: int) -> int:
+        """Ship checkpointed regions ``(src, dst, nbytes, label)`` to their
+        new owners and run until every one has landed; returns the bytes."""
+        attempts = 1 + self.fault_policy.max_retries
+        sends = [
+            _Send(self, k, nbytes, attempts, src=src, dst=dst, label=label)
+            for src, dst, nbytes, label in transfers
+            if src != dst and nbytes > 0
+        ]
+        if sends:
+            self.env.run(until=self.env.all_of(sends))
+        return sum(nbytes for _, _, nbytes, _ in transfers)
 
     # -- elastic membership (grow_restripe) --------------------------------------
     def _maybe_grow(self, k: int) -> None:
@@ -818,17 +801,7 @@ class SageRuntime:
             transfers.extend(moved_region_transfers(
                 buf, lambda f, t: old_proc[(f, t)], new_map.processor_of
             ))
-        procs = [
-            self.env.process(
-                self._restripe_transfer(src, dst, nbytes, label, k),
-                name=f"migrate:{label}",
-            )
-            for src, dst, nbytes, label in transfers
-            if src != dst and nbytes > 0
-        ]
-        if procs:
-            self.env.run(until=self.env.all_of(procs))
-        total = sum(nbytes for _, _, nbytes, _ in transfers)
+        total = self._move_regions(transfers, k)
         pause = self.env.now - quiesce_at
         REGISTRY.record("runtime.migration_pause_s", pause)
         self._probe_runtime(
@@ -986,17 +959,7 @@ class SageRuntime:
             transfers.extend(moved_region_transfers(
                 buf, lambda f, t: old_proc[(f, t)], new_map.processor_of
             ))
-        procs = [
-            self.env.process(
-                self._restripe_transfer(src, dst, nbytes, label, k),
-                name=f"drain:{label}",
-            )
-            for src, dst, nbytes, label in transfers
-            if src != dst and nbytes > 0
-        ]
-        if procs:
-            self.env.run(until=self.env.all_of(procs))
-        total = sum(nbytes for _, _, nbytes, _ in transfers)
+        total = self._move_regions(transfers, k)
         pause = self.env.now - quiesce_at
         REGISTRY.record("runtime.straggler_pause_s", pause)
         self._probe_runtime(
@@ -1080,17 +1043,7 @@ class SageRuntime:
             transfers.extend(moved_region_transfers(
                 buf, lambda f, t: old_proc[(f, t)], new_map.processor_of
             ))
-        procs = [
-            self.env.process(
-                self._restripe_transfer(src, dst, nbytes, label, k),
-                name=f"restore:{label}",
-            )
-            for src, dst, nbytes, label in transfers
-            if src != dst and nbytes > 0
-        ]
-        if procs:
-            self.env.run(until=self.env.all_of(procs))
-        total = sum(nbytes for _, _, nbytes, _ in transfers)
+        total = self._move_regions(transfers, k)
         pause = self.env.now - quiesce_at
         REGISTRY.record("runtime.straggler_pause_s", pause)
         self._probe_runtime(
@@ -1221,6 +1174,7 @@ class SageRuntime:
             self._probe("sink", entry, thread, iteration, node.index)
 
         # Send-side staging copies (pack) + deposit into logical buffers.
+        msg_attempts = 1 + (policy.max_retries if policy.retries_transfers else 0)
         for buf in self.out_buffers[fid]:
             if buf.src_port not in outputs:
                 raise RuntimeError_(
@@ -1238,11 +1192,8 @@ class SageRuntime:
             # redistributions don't all target destination 0 first (ejection
             # convoys); this is the schedule a pairwise exchange produces.
             for msg in buf.send_order(thread):
-                proc = self.env.process(
-                    self._transfer_proc(buf, msg, iteration, entry),
-                    name=f"xfer:{buf.name}#{iteration}",
-                )
-                self._live_procs.append(proc)
+                _Send(self, iteration, msg.nbytes, msg_attempts,
+                      buf=buf, msg=msg, entry=entry)
 
         if track_progress:
             per_node = self._iter_busy.setdefault(iteration, {})
@@ -1267,76 +1218,6 @@ class SageRuntime:
             )
         table = self._buf_recv_remote if receive else self._buf_send_remote
         return table.get((buf.buffer_id, thread), 0)
-
-    def _transfer_proc(self, buf: RuntimeBuffer, msg, iteration: int, src_entry: dict):
-        try:
-            yield from self._transfer_body(buf, msg, iteration, src_entry)
-        except Interrupt:
-            return
-
-    def _transfer_body(self, buf: RuntimeBuffer, msg, iteration: int, src_entry: dict):
-        src_proc = self.processor_of(buf.src_function, msg.src_thread)
-        dst_proc = self.processor_of(buf.dst_function, msg.dst_thread)
-        node = self.cluster.node(src_proc)
-        if self.config.striping_overhead_per_message > 0:
-            yield from node.busy(self.config.striping_overhead_per_message)
-        self._probe(
-            "send", src_entry, msg.src_thread, iteration, src_proc,
-            detail=buf.name, nbytes=msg.nbytes,
-        )
-        if src_proc != dst_proc:
-            yield from self._deliver(buf, msg, iteration, src_proc, dst_proc)
-        dst_entry = self.functions[buf.dst_function]
-        self._probe(
-            "arrive", dst_entry, msg.dst_thread, iteration, dst_proc,
-            detail=buf.name, nbytes=msg.nbytes,
-        )
-        events = self._arrival_events(buf, iteration, msg.dst_thread)
-        events[buf.message_slot(msg)].succeed()
-
-    def _deliver(self, buf: RuntimeBuffer, msg, iteration: int,
-                 src_proc: int, dst_proc: int):
-        """Move one planned message across the fabric, retrying transient
-        losses when the policy allows (an ack-protocol model: the sender
-        observes the delivery verdict and retransmits)."""
-        policy = self.fault_policy
-        attempts = 1 + (policy.max_retries if policy.retries_transfers else 0)
-        delay = policy.backoff
-        failure: Any = None
-        for attempt in range(1, attempts + 1):
-            try:
-                outcome = yield from self.cluster.transfer(
-                    src_proc, dst_proc, msg.nbytes
-                )
-            except LinkFailure as exc:
-                # Link outages may heal; node crashes (NodeFailure) always
-                # propagate — the transfer level cannot restart a node.
-                if attempt >= attempts:
-                    raise
-                failure = exc
-            else:
-                if outcome.ok:
-                    return
-                failure = outcome.reason
-                if attempt >= attempts:
-                    break
-            self._probe_runtime(
-                "retry",
-                detail=(
-                    f"{buf.name}#{iteration} {src_proc}->{dst_proc} "
-                    f"attempt {attempt}: {failure}"
-                ),
-                processor=src_proc,
-                iteration=iteration,
-            )
-            if delay > 0:
-                yield self.env.timeout(self._jittered(delay))
-            delay *= policy.backoff_factor
-        raise TransportError(
-            f"message {buf.name}#{iteration} from processor {src_proc} to "
-            f"{dst_proc} undelivered: {failure}; gave up after {attempts} "
-            f"attempt(s) at t={self.env.now:.6f}"
-        )
 
     # -- helpers ---------------------------------------------------------------
     def _make_ctx(self, entry: dict, thread: int, iteration: int) -> ThreadContext:
@@ -1387,19 +1268,10 @@ class SageRuntime:
     ) -> None:
         if not self.trace.enabled:
             return  # skip the ProbeEvent allocation entirely
-        self.trace.record(
-            ProbeEvent(
-                time=self.env.now,
-                kind=kind,
-                function=entry["name"],
-                function_id=entry["id"],
-                thread=thread,
-                processor=processor,
-                iteration=iteration,
-                detail=detail,
-                nbytes=nbytes,
-            )
-        )
+        self.trace.record(ProbeEvent(
+            self.env.now, kind, entry["name"], entry["id"], thread, processor,
+            iteration, detail, nbytes,
+        ))
 
     def _probe_runtime(
         self,
@@ -1445,3 +1317,115 @@ class SageRuntime:
                 detail=f"{kind}: {detail}",
             )
         )
+
+
+class _Send(Task):
+    """One planned message, or one checkpointed region, crossing the fabric.
+
+    A message resolves its processors when it starts, holds the source CPU
+    for the striping overhead, and probes ``send`` and ``arrive`` around
+    the crossing; a region move (``msg`` None) between fixed processors
+    only crosses.  Both retransmit lost or corrupted deliveries and link
+    outages, up to ``attempts`` times with the policy's backoff; node
+    crashes propagate.  Nothing waits on a message, so its completion entry
+    is dropped.  An interrupt gives back what the send holds and ends it.
+    """
+
+    __slots__ = ("rt", "k", "nbytes", "attempts", "src", "dst", "buf", "msg",
+                 "entry", "label", "_attempt", "_delay")
+    keep_completion = False
+
+    def __init__(self, rt: SageRuntime, k: int, nbytes: int, attempts: int,
+                 buf: Optional[RuntimeBuffer] = None, msg=None,
+                 entry: Optional[dict] = None, src: int = -1, dst: int = -1,
+                 label: str = ""):
+        super().__init__(rt.env)
+        self.rt, self.k, self.nbytes, self.attempts = rt, k, nbytes, attempts
+        self.buf, self.msg, self.entry = buf, msg, entry
+        self.src, self.dst, self.label = src, dst, label
+        self._attempt, self._delay = 1, rt.fault_policy.backoff
+        rt._sends[self] = None
+
+    def _run(self, event: Event) -> None:
+        rt, buf, msg = self.rt, self.buf, self.msg
+        if msg is None:
+            return self._transmit()
+        self.src = rt.processor_of(buf.src_function, msg.src_thread)
+        self.dst = rt.processor_of(buf.dst_function, msg.dst_thread)
+        node = rt.cluster.node(self.src)
+        overhead = rt.config.striping_overhead_per_message
+        if overhead <= 0:
+            return self._post()
+        node.check_alive()
+        self._use(node.cpu, node.cpu_time_of(overhead), self._striped)
+
+    def _striped(self, event: Event) -> None:
+        self.rt.cluster.node(self.src).check_alive()
+        self._post()
+
+    def _post(self) -> None:
+        self.rt._probe("send", self.entry, self.msg.src_thread, self.k, self.src,
+                       detail=self.buf.name, nbytes=self.nbytes)
+        if self.src != self.dst:
+            self._transmit()
+        else:
+            self._arrive()
+
+    def _transmit(self, event: Optional[Event] = None) -> None:
+        try:
+            xfer = self.rt.cluster.fabric.transfer(self.src, self.dst, self.nbytes)
+        except LinkFailure as exc:  # may heal; a NodeFailure propagates
+            if self._attempt >= self.attempts:
+                raise
+            return self._retry(exc)
+        self._wait_hold(xfer, self._landed)
+
+    def _landed(self, xfer: Event) -> None:
+        outcome = xfer._value
+        if outcome.ok:
+            return self._finish() if self.msg is None else self._arrive()
+        if self._attempt < self.attempts:
+            return self._retry(outcome.reason)
+        what = (f"restripe transfer {self.label}" if self.msg is None
+                else f"message {self.buf.name}#{self.k}")
+        raise TransportError(
+            f"{what} from processor {self.src} to {self.dst} undelivered: "
+            f"{outcome.reason}; gave up after {self.attempts} attempt(s) "
+            f"at t={self.env.now:.6f}"
+        )
+
+    def _retry(self, failure: Any) -> None:
+        rt = self.rt
+        what = (f"restripe {self.label}" if self.msg is None
+                else f"{self.buf.name}#{self.k}")
+        rt._probe_runtime(
+            "retry", processor=self.src, iteration=self.k,
+            detail=f"{what} {self.src}->{self.dst} attempt {self._attempt}: {failure}",
+        )
+        self._attempt += 1
+        delay = self._delay
+        self._delay = delay * rt.fault_policy.backoff_factor
+        if delay > 0:
+            self._wait(self.env.timeout(rt._jittered(delay)), self._transmit)
+        else:
+            self._transmit()
+
+    def _arrive(self) -> None:
+        rt, buf, msg = self.rt, self.buf, self.msg
+        rt._probe("arrive", rt.functions[buf.dst_function], msg.dst_thread,
+                  self.k, self.dst, detail=buf.name, nbytes=self.nbytes)
+        rt._arrival_events(buf, self.k, msg.dst_thread)[buf.message_slot(msg)].succeed()
+        self._finish()
+
+    def _finish(self, value: Any = None) -> None:
+        self.rt._sends.pop(self, None)
+        super()._finish(value)
+
+    def _fail(self, exc: BaseException) -> None:
+        self.rt._sends.pop(self, None)
+        super()._fail(exc)
+
+    def _throw(self, exc: BaseException) -> None:
+        if not isinstance(exc, Interrupt):
+            raise exc
+        self._finish()

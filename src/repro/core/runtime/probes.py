@@ -58,9 +58,19 @@ class ProbeEvent:
     detail: str = ""   # e.g. buffer name for send/arrive
     nbytes: int = 0
 
-    def __post_init__(self):
-        if self.kind not in _PROBE_KIND_SET:
-            raise ValueError(f"unknown probe kind {self.kind!r}")
+    def __init__(self, time: float, kind: str, function: str, function_id: int,
+                 thread: int, processor: int, iteration: int, detail: str = "",
+                 nbytes: int = 0):
+        # Written out because the run-time records one or two per message:
+        # a single dict update instead of the frozen dataclass's nine
+        # object.__setattr__ calls.  The fields stay read-only.
+        if kind not in _PROBE_KIND_SET:
+            raise ValueError(f"unknown probe kind {kind!r}")
+        self.__dict__.update(
+            time=time, kind=kind, function=function, function_id=function_id,
+            thread=thread, processor=processor, iteration=iteration,
+            detail=detail, nbytes=nbytes,
+        )
 
 
 class Trace:

@@ -5,15 +5,17 @@ from .simulator import (
     AnyOf,
     Environment,
     Event,
+    Hold,
     Interrupt,
     Process,
     Resource,
     SimulationError,
     Store,
+    Task,
     Timeout,
 )
 from .node import CpuSpec, SimNode
-from .interconnect import Fabric, FabricSpec, LinkSpec, TransferOutcome
+from .interconnect import Fabric, FabricSpec, LinkSpec, Transfer, TransferOutcome
 from .cluster import SimCluster
 from .faults import (
     FaultError,
@@ -31,17 +33,20 @@ __all__ = [
     "AnyOf",
     "Environment",
     "Event",
+    "Hold",
     "Interrupt",
     "Process",
     "Resource",
     "SimulationError",
     "Store",
+    "Task",
     "Timeout",
     "CpuSpec",
     "SimNode",
     "Fabric",
     "FabricSpec",
     "LinkSpec",
+    "Transfer",
     "TransferOutcome",
     "SimCluster",
     "FaultError",

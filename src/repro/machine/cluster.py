@@ -183,12 +183,3 @@ class SimCluster:
             raise IndexError(
                 f"node index {index} out of range for {len(self.nodes)}-node cluster"
             ) from None
-
-    def transfer(self, src: int, dst: int, nbytes: float):
-        """Generator: fabric transfer between two node indices.
-
-        Returns the fabric's :class:`~repro.machine.interconnect.TransferOutcome`
-        (always a clean delivery unless a fault plan is installed).
-        """
-        outcome = yield from self.fabric.transfer(src, dst, nbytes)
-        return outcome

@@ -16,11 +16,11 @@ are faster than *inter-board* transfers across the Myrinet fabric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
 
-from .simulator import Environment, Resource
+from .simulator import Environment, Hold, Resource
 
-__all__ = ["LinkSpec", "FabricSpec", "Fabric", "TransferOutcome"]
+__all__ = ["LinkSpec", "FabricSpec", "Fabric", "Transfer", "TransferOutcome"]
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,9 @@ class FabricSpec:
 class Fabric:
     """A fabric instance bound to a simulation environment.
 
-    ``transfer(src, dst, nbytes)`` is a process generator charging the modeled
-    time on the (possibly contended) link between two node indices.
+    ``transfer(src, dst, nbytes)`` returns a :class:`Transfer` event charging
+    the modeled time on the (possibly contended) link between two node
+    indices.
     """
 
     def __init__(self, env: Environment, spec: FabricSpec, boards: Dict[int, int]):
@@ -142,31 +143,15 @@ class Fabric:
             table[node] = port
         return port
 
-    def _acquire(self, resource: Resource):
-        """Sub-generator: interrupt-safe resource acquisition.
+    def transfer(self, src: int, dst: int, nbytes: float) -> "Transfer":
+        """Start moving ``nbytes`` from ``src`` to ``dst``; returns the
+        :class:`Transfer` event, whose value is a :class:`TransferOutcome`.
 
-        An exception thrown while suspended on the request (fault-recovery
-        interrupts) cancels the request so the port is never leaked.
-        """
-        req = resource.request()
-        try:
-            yield req
-        except BaseException:
-            resource.cancel(req)
-            raise
-
-    def transfer(self, src: int, dst: int, nbytes: float):
-        """Generator: move ``nbytes`` from ``src`` to ``dst``, with contention.
-
-        Acquisition order is inject -> shared medium -> eject (a fixed
-        hierarchy, so concurrent transfers can never deadlock); the message
-        holds all its resources for the full wire time, modelling wormhole
-        head-of-line blocking.
-
-        Returns a :class:`TransferOutcome`.  With a fault layer installed,
-        the transfer may raise :class:`~repro.machine.faults.NodeFailure` /
-        :class:`~repro.machine.faults.LinkFailure` at injection time, run
-        slower over a degraded link, or come back undelivered/corrupted.
+        With a fault layer installed, the call raises
+        :class:`~repro.machine.faults.NodeFailure` /
+        :class:`~repro.machine.faults.LinkFailure` at injection time, and
+        the transfer may run slower over a degraded link or come back
+        undelivered/corrupted.
         """
         faults = self.faults
         if faults is not None:
@@ -175,8 +160,9 @@ class Fabric:
             faults.check_link(src, dst)
         if src == dst:
             # Loopback: charged by the caller as a memory copy, not here.
-            return _CLEAN
-        link = self.spec.link_for(self.same_board(src, dst))
+            return Transfer(self.env, src, dst, nbytes, 0.0, (), None)
+        same_board = self.same_board(src, dst)
+        link = self.spec.link_for(same_board)
         factor = faults.link_factor(src, dst) if faults is not None else 1.0
         duration = link.sw_overhead + link.latency + nbytes / (link.bandwidth * factor)
         if faults is not None:
@@ -184,35 +170,47 @@ class Fabric:
             duration += faults.sample_jitter(src, dst)
         inject = self._port(self._inject, src)
         eject = self._port(self._eject, dst)
-        shared = (
-            self._shared
-            if (not self.spec.crossbar and not self.same_board(src, dst))
-            else None
-        )
-        yield from self._acquire(inject)
-        try:
-            if shared is not None:
-                yield from self._acquire(shared)
-            try:
-                yield from self._acquire(eject)
-                try:
-                    yield self.env.timeout(duration)
-                finally:
-                    eject.release()
-            finally:
-                if shared is not None:
-                    shared.release()
-        finally:
-            inject.release()
+        if self.spec.crossbar or same_board:
+            ports: Tuple[Resource, ...] = (inject, eject)
+        else:
+            ports = (inject, self._shared, eject)
+        return Transfer(self.env, src, dst, nbytes, duration, ports, faults)
+
+
+class Transfer(Hold):
+    """One message crossing the fabric, as an event.
+
+    :meth:`Fabric.transfer` creates it.  It is a :class:`Hold` of the
+    message's ports in a fixed hierarchy, inject -> shared medium -> eject,
+    for the wire time, modelling wormhole head-of-line blocking; its value
+    is the fault layer's :class:`TransferOutcome`, taken when the ports are
+    released and before any waiter resumes.  A sender that stops waiting
+    (an interrupted process) must :meth:`cancel` it, or its ports stay
+    held.
+    """
+
+    __slots__ = ("src", "dst", "nbytes", "_faults")
+
+    def __init__(self, env: Environment, src: int, dst: int, nbytes: float,
+                 duration: float, ports: Tuple[Resource, ...], faults):
+        self.src = src
+        self.dst = dst
+        self.nbytes = nbytes
+        self._faults = faults
+        super().__init__(env, ports, duration)
+
+    def _outcome(self) -> TransferOutcome:
+        faults = self._faults
         if faults is None:
             return _CLEAN
+        src, dst = self.src, self.dst
         if not faults.alive(dst):
             return TransferOutcome(delivered=False, reason=f"node {dst} died in flight")
         if not faults.link_up(src, dst):
             return TransferOutcome(
                 delivered=False, reason=f"link {src}<->{dst} dropped in flight"
             )
-        verdict = faults.sample_delivery(src, dst, nbytes)
+        verdict = faults.sample_delivery(src, dst, self.nbytes)
         if verdict == "lost":
             return TransferOutcome(delivered=False, reason="message lost")
         if verdict == "corrupted":

@@ -90,7 +90,9 @@ class SimNode:
         #: Optional FaultInjector consulted before/after every operation.
         self.faults = None
 
-    def _check_alive(self) -> None:
+    def check_alive(self) -> None:
+        """Raise :class:`~repro.machine.faults.NodeFailure` if the node is
+        down; every CPU operation checks before it starts and when it ends."""
         if self.faults is not None:
             self.faults.check_node(self.index)
 
@@ -156,23 +158,23 @@ class SimNode:
 
     def compute(self, flops: float, label: Optional[str] = None):
         """Generator: occupy the CPU for the modeled duration of ``flops``."""
-        self._check_alive()
+        self.check_alive()
         duration = self._rate_scaled(self.spec.compute_time(flops))
         yield from self.cpu.use(duration)
         # A crash that lands mid-operation surfaces when the work "completes".
-        self._check_alive()
+        self.check_alive()
 
     def copy(self, nbytes: float, label: Optional[str] = None):
         """Generator: occupy the CPU for a memory copy of ``nbytes``."""
-        self._check_alive()
+        self.check_alive()
         duration = self._rate_scaled(self.spec.copy_time(nbytes))
         yield from self.cpu.use(duration)
-        self._check_alive()
+        self.check_alive()
 
     def busy(self, seconds: float):
         """Generator: occupy the CPU for an explicit duration."""
         if seconds < 0:
             raise ValueError("seconds must be non-negative")
-        self._check_alive()
+        self.check_alive()
         yield from self.cpu.use(self._rate_scaled(seconds))
-        self._check_alive()
+        self.check_alive()

@@ -24,6 +24,10 @@ Design notes
     - :class:`Process`     -- resume when the child process terminates
       (its value is the child's return value),
     - :class:`AllOf`       -- resume when every sub-event has fired.
+* A :class:`Task` is a process written as callbacks instead of a generator:
+  the same queue entries, without a generator resume per wait.  A
+  :class:`Hold` takes resources in order and holds them for a duration, as
+  one event (what :meth:`Resource.use` does for one resource).
 * :class:`Store` is an unbounded FIFO channel with blocking ``get``;
   :class:`Resource` is a counted lock used to model link/bus contention.
 
@@ -42,6 +46,8 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
+    "Hold",
+    "Task",
     "AllOf",
     "AnyOf",
     "Store",
@@ -166,14 +172,7 @@ class Process(Event):
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._target: Optional[Event] = None
-        # Kick off at the current instant.  Equivalent to creating an Event,
-        # succeeding it and registering _resume, but without the method-call
-        # overhead — process starts are one of the hottest schedule sites.
-        init = Event(env)
-        init.triggered = True
-        init._value = None
-        init.callbacks.append(self._resume)
-        env._imm1.append((next(env._seq), init))
+        env._start(self._resume)
 
     @property
     def is_alive(self) -> bool:
@@ -255,6 +254,243 @@ class Process(Event):
             raise SimulationError("cannot wait on an event from another Environment")
         self._target = target
         target.add_callback(self._resume)
+
+
+class Hold(Event):
+    """Take ``resources`` in order, hold them all for ``duration``, release.
+
+    Each take is an ordinary :meth:`Resource.request`, so every grant (of a
+    free resource too) is a queue entry and same-instant requests are
+    served FIFO; taking in one fixed order means two holds can never
+    deadlock.  Once the last grant lands the hold schedules itself
+    ``duration`` later.  When that entry fires it releases the resources
+    (the last taken first) and sets its value from :meth:`_outcome` before
+    any waiter's callback runs, so a waiter resumes at the entry where a
+    :class:`Timeout` of ``duration`` would have resumed it, and finds the
+    resources free.  With no resources it is a timeout.
+
+    A failed grant (the resource was reset) is thrown at the waiters at
+    once.  A holder that stops waiting calls :meth:`freeze` (the hold stops
+    advancing) and then :meth:`cancel` (the queued request is withdrawn and
+    the held resources released), as the ``except``/``finally`` blocks of
+    :meth:`Resource.use` would.
+    """
+
+    __slots__ = ("_resources", "_duration", "_held", "_req")
+
+    def __init__(self, env: "Environment", resources: tuple, duration: float):
+        if duration < 0:
+            raise SimulationError(f"negative hold duration: {duration!r}")
+        super().__init__(env)
+        self._resources = resources
+        self._duration = duration
+        self._held = 0
+        self._req: Optional[Event] = None
+        self.callbacks.append(self._release)
+        if resources:
+            self._req = req = resources[0].request()
+            req.callbacks.append(self._granted)
+        else:
+            self.triggered = True
+            env._schedule(self, duration)
+
+    def _outcome(self) -> Any:
+        """The value the hold fires with; subclasses add a verdict."""
+        return None
+
+    def _granted(self, event: Event) -> None:
+        if not event._ok:
+            # Thrown at the waiters at this entry, as at a generator's yield.
+            self.triggered = True
+            self._ok = False
+            self._value = event._value
+            callbacks, self.callbacks = self.callbacks, None
+            self.processed = True
+            for cb in callbacks[1:]:  # [0] is _release
+                cb(self)
+            return
+        self._held = held = self._held + 1
+        resources = self._resources
+        if held < len(resources):
+            self._req = req = resources[held].request()
+            req.callbacks.append(self._granted)
+            return
+        self._req = None
+        self.triggered = True
+        self.env._schedule(self, self._duration)
+
+    def _release(self, event: Event) -> None:
+        resources = self._resources
+        self._held = 0
+        for i in range(len(resources) - 1, -1, -1):
+            resources[i].release()
+        self._value = self._outcome()
+
+    def freeze(self) -> None:
+        """Stop advancing, keeping the resources as they are until
+        :meth:`cancel`: what a holder does between being interrupted and
+        the interrupt reaching it."""
+        req = self._req
+        if (req is not None and req.callbacks is not None
+                and self._granted in req.callbacks):
+            req.callbacks.remove(self._granted)
+        callbacks = self.callbacks
+        if callbacks is not None and self._release in callbacks:
+            callbacks.remove(self._release)
+
+    def cancel(self) -> None:
+        """Abandon the hold as an interrupted holder does: withdraw the
+        queued request (or give back a granted one), then release the held
+        resources, the last taken first.  A no-op once the hold is over."""
+        self.freeze()
+        resources, held, req = self._resources, self._held, self._req
+        self._held = 0
+        self._req = None
+        if req is not None:
+            resources[held].cancel(req)
+        for i in range(held - 1, -1, -1):
+            resources[i].release()
+
+
+class Task(Event):
+    """A process written as a chain of callbacks instead of a generator.
+
+    Every wait costs one callback rather than a generator resume (plus a
+    frame per ``yield from`` level).  A task schedules the queue entries a
+    :class:`Process` running the equivalent generator would: a start entry
+    when it is created, then the events it waits on.  Only its completion
+    entry may differ: a subclass that sets ``keep_completion = False``
+    skips it when nothing waits on the task.
+
+    Subclasses implement :meth:`_run`, called at the start entry, and chain
+    continuations ``then(event)`` with :meth:`_wait`, :meth:`_wait_hold`
+    and :meth:`_use`; :meth:`_finish` ends the task.  An exception escaping
+    a continuation ends the task as it would end a process: it is raised
+    out of :meth:`Environment.step` when nothing waits on the task and
+    delivered to the waiters otherwise.  :meth:`interrupt` has the queue
+    effects of :meth:`Process.interrupt`; the :class:`Interrupt` reaches
+    :meth:`_throw` at the current wait, after a :class:`Hold` being waited
+    on has been cancelled.
+    """
+
+    __slots__ = ("_target", "_then", "_cb", "_holding")
+
+    #: Schedule the completion entry even when nothing waits on the task.
+    keep_completion = True
+
+    def __init__(self, env: "Environment"):
+        super().__init__(env)
+        self._target: Optional[Event] = None
+        self._then: Callable[[Event], None] = self._run
+        self._holding: Optional[Hold] = None
+        # One bound method for every wait (a cycle, broken when the task ends).
+        self._cb = self._resume
+        env._start(self._cb)
+
+    @property
+    def is_alive(self) -> bool:
+        return not self.triggered
+
+    # -- the body ----------------------------------------------------------
+    def _run(self, event: Event) -> None:
+        raise NotImplementedError
+
+    def _wait(self, event: Event, then: Callable[[Event], None]) -> None:
+        """Continue with ``then(event)`` once ``event`` has fired."""
+        self._target = event
+        self._then = then
+        callbacks = event.callbacks
+        if callbacks is None:
+            self.env._schedule_callback(self._cb, event)
+        else:
+            callbacks.append(self._cb)
+
+    def _wait_hold(self, hold: Hold, then: Callable[[Event], None]) -> None:
+        """Wait on ``hold``, which an interrupt freezes and cancels."""
+        self._holding = hold
+        self._wait(hold, then)
+
+    def _use(self, resource: "Resource", duration: float,
+             then: Callable[[Event], None]) -> None:
+        """Hold ``resource`` for ``duration``: the entries of
+        :meth:`Resource.use`."""
+        self._wait_hold(Hold(self.env, (resource,), duration), then)
+
+    def _throw(self, exc: BaseException) -> None:
+        """Deliver ``exc`` at the current wait; by default the task fails."""
+        raise exc
+
+    def _finish(self, value: Any = None) -> None:
+        self.triggered = True
+        self._value = value
+        self._then = self._cb = None  # drop the cycles: refcounting frees us
+        if self.callbacks or self.keep_completion:
+            env = self.env
+            env._imm1.append((next(env._seq), self))
+        else:
+            self.callbacks = None
+            self.processed = True
+
+    # -- stepping ----------------------------------------------------------
+    def _fail(self, exc: BaseException) -> None:
+        self.triggered = True
+        self._ok = False
+        self._value = exc
+        self._then = self._cb = None
+        if not self.callbacks:
+            raise exc
+        self.env._schedule(self)
+
+    def _resume(self, event: Event) -> None:
+        if self.triggered:
+            return
+        self._target = None
+        try:
+            if event._ok:
+                self._holding = None
+                self._then(event)
+            else:
+                self._deliver(event._value)
+        except Exception as exc:
+            self._fail(exc)
+
+    def _deliver(self, exc: BaseException) -> None:
+        hold = self._holding
+        if hold is not None:
+            self._holding = None
+            hold.cancel()
+        self._throw(exc)
+
+    def _detach(self) -> None:
+        target = self._target
+        if target is not None:
+            callbacks = target.callbacks
+            if callbacks is not None and self._resume in callbacks:
+                callbacks.remove(self._resume)
+            self._target = None
+
+    def interrupt(self, cause: Any = None) -> None:
+        """Throw :class:`Interrupt` at the task's current wait, at the
+        current instant (a kick entry, as for a process)."""
+        if self.triggered:
+            raise SimulationError("cannot interrupt a finished task")
+        if self._holding is not None:
+            self._holding.freeze()  # its resources go back when it lands
+        self._detach()
+        kick = Event(self.env)
+        kick.triggered = True
+        kick._value = Interrupt(cause)
+        self.env._schedule(kick)
+        kick.callbacks.append(self._resume_interrupt)
+
+    def _resume_interrupt(self, kick: Event) -> None:
+        if self.triggered:
+            return
+        self._detach()
+        try:
+            self._deliver(kick._value)
+        except Exception as exc:
+            self._fail(exc)
 
 
 class AllOf(Event):
@@ -372,6 +608,19 @@ class Environment:
         return AnyOf(self, events)
 
     # -- scheduling internals ---------------------------------------------
+    def _start(self, fn: Callable[[Event], None]) -> None:
+        """Schedule ``fn`` as a start entry at the current instant.
+
+        Equivalent to creating an Event, succeeding it and registering
+        ``fn``, without the method-call overhead: process and task starts
+        are among the hottest schedule sites.
+        """
+        init = Event(self)
+        init.triggered = True
+        init._value = None
+        init.callbacks.append(fn)
+        self._imm1.append((next(self._seq), init))
+
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = 1) -> None:
         if delay == 0.0 and priority == 1:
             # Zero-delay fast path: never touches the heap.
@@ -529,10 +778,13 @@ class Resource:
 
     def request(self) -> Event:
         """Return an event that fires when the caller holds the resource."""
-        ev = Event(self.env)
+        env = self.env
+        ev = Event(env)
         if self._in_use < self.capacity:
             self._in_use += 1
-            ev.succeed()
+            ev.triggered = True  # inlined succeed(): the grant entry
+            ev._value = None
+            env._imm1.append((next(env._seq), ev))
         else:
             self._waiters.append(ev)
         return ev

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..machine.cluster import SimCluster
-from ..machine.faults import FaultError
-from ..machine.simulator import Environment, Event, Process
+from ..machine.faults import FaultError, LinkFailure
+from ..machine.simulator import Environment, Event, Process, Task
 from .datatypes import ANY_SOURCE, ANY_TAG, copy_and_size, payload_nbytes
 from .errors import (
     CorruptionError,
@@ -325,6 +325,35 @@ class Communicator:
         return dead & set(self._group())
 
     # -- point-to-point ----------------------------------------------------
+    def _send_target(self, dest: int, tag: int) -> int:
+        """Validate a send to local rank ``dest``; returns its global rank."""
+        self._check_revoked(tag)
+        dest_g = self._g(dest)
+        if dest_g in self.world._dead_view(self.global_rank):
+            raise ProcessFailedError(
+                f"rank {self.rank}: send to rank {dest} tag {tag} failed: "
+                f"rank {dest} declared dead (t={self.env.now:.6f})",
+                ranks=(dest_g,),
+            )
+        return dest_g
+
+    def _retry_sleep(self, policy: RetryPolicy, delay: float) -> float:
+        """The backoff sleep before a retransmission."""
+        if policy.jitter and delay > 0:
+            # Seeded, event-ordered draw: spread simultaneous retries out
+            # without giving up reproducibility.
+            delay *= 1.0 + policy.jitter * (
+                2.0 * self.world._backoff_rng.random() - 1.0
+            )
+        return delay
+
+    def _delivery_error(self, policy: RetryPolicy, dest: int, tag: int,
+                        failure: str) -> DeliveryError:
+        return DeliveryError(
+            f"rank {self.rank}: send to rank {dest} tag {tag} failed after "
+            f"{policy.max_attempts} attempt(s) at t={self.env.now:.6f}: {failure}"
+        )
+
     def send(self, data: Any, dest: int, tag: int = 0,
              retry: Optional[RetryPolicy] = None) -> Generator:
         """Blocking buffered send (sub-generator).
@@ -337,33 +366,18 @@ class Communicator:
         :class:`~repro.mpi.errors.DeliveryError` once attempts are
         exhausted.
         """
-        self._check_revoked(tag)
+        dest_g = self._send_target(dest, tag)
         policy = retry if retry is not None else self.retry_policy
-        dest_g = self._g(dest)
-        if dest_g in self.world._dead_view(self.global_rank):
-            raise ProcessFailedError(
-                f"rank {self.rank}: send to rank {dest} tag {tag} failed: "
-                f"rank {dest} declared dead (t={self.env.now:.6f})",
-                ranks=(dest_g,),
-            )
         if policy is None:
             yield from self.world._send(
                 self.global_rank, dest_g, tag, data, comm=self, context=self.context
             )
             return
-        from ..machine.faults import LinkFailure
-
         delay = policy.backoff
         failure = "undelivered"
         for attempt in range(policy.max_attempts):
             if attempt:
-                sleep = delay
-                if policy.jitter and sleep > 0:
-                    # Seeded, event-ordered draw: spread simultaneous
-                    # retries out without giving up reproducibility.
-                    sleep *= 1.0 + policy.jitter * (
-                        2.0 * self.world._backoff_rng.random() - 1.0
-                    )
+                sleep = self._retry_sleep(policy, delay)
                 if sleep > 0:
                     yield self.env.timeout(sleep)
                 delay *= policy.factor
@@ -378,19 +392,12 @@ class Communicator:
             if outcome is None or outcome.delivered:
                 return
             failure = outcome.reason or "message lost"
-        raise DeliveryError(
-            f"rank {self.rank}: send to rank {dest} tag {tag} failed after "
-            f"{policy.max_attempts} attempt(s) at t={self.env.now:.6f}: {failure}"
-        )
+        raise self._delivery_error(policy, dest, tag, failure)
 
     def isend(self, data: Any, dest: int, tag: int = 0,
               retry: Optional[RetryPolicy] = None) -> Request:
-        """Nonblocking send; the transfer proceeds as a background process."""
-        proc = self.env.process(
-            self.send(data, dest, tag=tag, retry=retry),
-            name=f"isend r{self.rank}->r{dest} tag{tag}",
-        )
-        return Request(self.env, proc)
+        """Nonblocking send; the transfer proceeds in the background."""
+        return Request(self.env, _ISend(self, data, dest, tag, retry))
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
              timeout: Optional[float] = None,
@@ -1022,8 +1029,9 @@ class MpiWorld:
             self._contexts[key] = ctx
         return ctx
 
-    def _send(self, src: int, dest: int, tag: int, data: Any,
-              comm: Communicator, context: int = 0):
+    def _post(self, src: int, dest: int, tag: int, data: Any,
+              comm: Communicator) -> Message:
+        """Copy ``data`` into a new message from ``src`` and count it."""
         if not (0 <= dest < self.size):
             raise RankError(f"destination rank {dest} out of range [0, {self.size})")
         payload, nbytes = copy_and_size(data)
@@ -1032,20 +1040,35 @@ class MpiWorld:
         comm.messages_sent += 1
         self.total_bytes += msg.nbytes
         self.total_messages += 1
+        return msg
+
+    def _land(self, msg: Message, context: int, outcome):
+        """Buffer ``msg`` at its destination unless the fabric lost it."""
+        if outcome is not None:
+            if not outcome.delivered:
+                # Lost in transit: the wire time was spent, nothing arrives.
+                return outcome
+            if outcome.corrupted:
+                msg.corrupted = True
+        msg.arrived_at = self.env.now
+        self._mailbox(msg.dest, context).deliver(msg)
+        return outcome
+
+    def _send(self, src: int, dest: int, tag: int, data: Any,
+              comm: Communicator, context: int = 0):
+        msg = self._post(src, dest, tag, data, comm)
         outcome = None
         if src == dest:
             # Loopback: one memory copy on the local node.
             yield from self.cluster.node(src).copy(msg.nbytes)
         else:
-            outcome = yield from self.cluster.transfer(src, dest, msg.nbytes)
-            if outcome is not None and not outcome.delivered:
-                # Lost in transit: the wire time was spent, nothing arrives.
-                return outcome
-            if outcome is not None and outcome.corrupted:
-                msg.corrupted = True
-        msg.arrived_at = self.env.now
-        self._mailbox(dest, context).deliver(msg)
-        return outcome
+            transfer = self.cluster.fabric.transfer(src, dest, msg.nbytes)
+            try:
+                outcome = yield transfer
+            except BaseException:
+                transfer.cancel()
+                raise
+        return self._land(msg, context, outcome)
 
     def _recv(self, rank: int, source: int, tag: int, context: int = 0,
               timeout: Optional[float] = None,
@@ -1078,3 +1101,84 @@ class MpiWorld:
                 )
         _check_integrity(msg, rank, max_bytes)
         return msg
+
+
+class _ISend(Task):
+    """A nonblocking send: :meth:`Communicator.send` as callbacks.
+
+    It makes the queue entries of a process running ``send`` — including
+    the completion entry, which a later ``Request.wait`` may be waiting on
+    — without a generator per message.
+    """
+
+    __slots__ = ("comm", "data", "dest", "tag", "retry", "_dest_g", "_msg",
+                 "_tries", "_delay")
+
+    def __init__(self, comm: Communicator, data: Any, dest: int, tag: int,
+                 retry: Optional[RetryPolicy]):
+        super().__init__(comm.env)
+        self.comm = comm
+        self.data = data
+        self.dest = dest
+        self.tag = tag
+        self.retry = retry
+        self._dest_g = -1
+        self._msg: Optional[Message] = None
+        self._tries = 0
+        self._delay = 0.0
+
+    def _run(self, event: Event) -> None:
+        comm = self.comm
+        self._dest_g = comm._send_target(self.dest, self.tag)
+        if self.retry is None:
+            self.retry = comm.retry_policy
+        if self.retry is None:
+            self._transmit()
+        else:
+            self._delay = self.retry.backoff
+            self._try()
+
+    def _try(self, event: Optional[Event] = None) -> None:
+        try:
+            self._transmit()
+        except LinkFailure as exc:
+            self._failed(str(exc))  # transient outage: back off and retry
+
+    def _transmit(self) -> None:
+        world, src, dest = self.comm.world, self.comm.global_rank, self._dest_g
+        msg = self._msg = world._post(src, dest, self.tag, self.data, self.comm)
+        if src == dest:
+            # Loopback: one memory copy on the local node.
+            node = world.cluster.node(src)
+            node.check_alive()
+            self._use(node.cpu, node.cpu_time_of(node.spec.copy_time(msg.nbytes)),
+                      self._copied)
+        else:
+            self._wait_hold(world.cluster.fabric.transfer(src, dest, msg.nbytes),
+                            self._landed)
+
+    def _copied(self, event: Event) -> None:
+        comm = self.comm
+        comm.world.cluster.node(comm.global_rank).check_alive()
+        self._sent(comm.world._land(self._msg, comm.context, None))
+
+    def _landed(self, xfer: Event) -> None:
+        self._sent(self.comm.world._land(self._msg, self.comm.context, xfer._value))
+
+    def _sent(self, outcome) -> None:
+        if self.retry is None or outcome is None or outcome.delivered:
+            self._finish()
+        else:
+            self._failed(outcome.reason or "message lost")
+
+    def _failed(self, failure: str) -> None:
+        policy, comm = self.retry, self.comm
+        self._tries += 1
+        if self._tries >= policy.max_attempts:
+            raise comm._delivery_error(policy, self.dest, self.tag, failure)
+        sleep = comm._retry_sleep(policy, self._delay)
+        self._delay *= policy.factor
+        if sleep > 0:
+            self._wait(self.env.timeout(sleep), self._try)
+        else:
+            self._try()

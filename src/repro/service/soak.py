@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .jobs import JobSpec
+from .messages import BusMessage
 from .scheduler import TenantQuota, _EPS
 from .service import SageService, run_standalone
 
@@ -363,12 +364,32 @@ def check_slots(svc: SageService) -> List[str]:
     return out
 
 
+def group_history(history: Sequence[BusMessage]) -> Tuple[
+        Dict[str, List[BusMessage]], Dict[str, List[BusMessage]]]:
+    """Group bus messages in one pass by exact topic and by topic head (the
+    topic minus its last segment), keeping publication order.
+
+    ``job.<id>.probes`` is a lookup by topic; the pattern ``job.<id>.*``
+    matches exactly the topics whose head is ``job.<id>``.  So every
+    per-job lookup costs one dictionary probe instead of a history scan.
+    """
+    by_topic: Dict[str, List[BusMessage]] = {}
+    by_head: Dict[str, List[BusMessage]] = {}
+    for msg in history:
+        by_topic.setdefault(msg.topic, []).append(msg)
+        head, dot, _last = msg.topic.rpartition(".")
+        if dot:
+            by_head.setdefault(head, []).append(msg)
+    return by_topic, by_head
+
+
 def check_telemetry(svc: SageService) -> List[str]:
     """Invariant 5: probe telemetry on the bus reconciles with job results."""
     out: List[str] = []
     stats = svc.stats()
+    by_topic, by_head = group_history(svc.bus.history)
     for job in svc.jobs.values():
-        probes = svc.bus.history_for(f"job.{job.id}.probes")
+        probes = by_topic.get(f"job.{job.id}.probes", [])
         if job.result is not None:
             if len(probes) != 1:
                 out.append(
@@ -397,7 +418,7 @@ def check_telemetry(svc: SageService) -> List[str]:
                 f"{len(probes)} probe message(s)"
             )
         # Lifecycle messages must only ever name their own job.
-        for msg in svc.bus.history_for(f"job.{job.id}.*"):
+        for msg in by_head.get(f"job.{job.id}", []):
             if msg.get("job") != job.id:
                 out.append(
                     f"telemetry: {job.id}'s topic carries a message for "

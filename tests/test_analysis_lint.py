@@ -90,6 +90,24 @@ class TestInfrastructure:
         src = "(define x 1)\n(define (f a) a)\n(let ((y 2)) y)"
         assert script_defines(src) == frozenset({"x", "f"})
 
+    def test_script_defines_parses_each_text_once(self, monkeypatch):
+        """A second lookup of the same text reads the shared AST cache."""
+        import repro.core.alter.parser as parser
+
+        calls = []
+        real_parse = parser.parse
+
+        def counting_parse(source):
+            calls.append(source)
+            return real_parse(source)
+
+        monkeypatch.setattr(parser, "parse", counting_parse)
+        src = "(define only-in-this-test 1)\n(define (g b) b)"
+        first = script_defines(src)
+        assert calls == [src]
+        assert script_defines(src) == first == frozenset({"only-in-this-test", "g"})
+        assert calls == [src]
+
     def test_extra_globals_are_visible(self):
         src = "(emit-line custom-global)"
         assert lint_script(src, extra_globals=("custom-global",)) == []

@@ -161,6 +161,22 @@ def test_soak_smoke_holds_invariants():
             assert o.completed
 
 
+def test_fail_fast_abort_leaves_nothing_running_at_8_nodes():
+    """A fail_fast abort must take its in-flight work down with it.
+
+    At 8 nodes some schedules abort a fail_fast run while transfers are
+    still on the wire; the quiescence drain must then find nothing that can
+    raise (it used to hit a stranded transfer's TransportError).
+    """
+    outcomes = soak(seed=1, schedules=20, policies=["fail_fast"],
+                    n=32, nodes=8)
+    assert len(outcomes) == 20
+    assert any(not o.completed for o in outcomes)
+    bad = [(o.schedule.describe(), o.violations) for o in outcomes
+           if o.violations]
+    assert bad == []
+
+
 def test_soak_rejects_unknown_policy():
     with pytest.raises(ValueError):
         soak(schedules=1, policies=["best_effort"])

@@ -122,7 +122,7 @@ class TestClusterElasticity:
         cluster = SimCluster.from_platform(env, cspi(), 4)
 
         def transfer():
-            yield from cluster.transfer(0, 3, 1 << 20)
+            yield cluster.fabric.transfer(0, 3, 1 << 20)
 
         env.process(transfer())
         env.run(until=1e-6)  # mid-flight
@@ -135,7 +135,7 @@ class TestClusterElasticity:
         done = []
 
         def transfer2():
-            outcome = yield from cluster.transfer(0, 3, 4096)
+            outcome = yield cluster.fabric.transfer(0, 3, 4096)
             done.append(outcome.ok)
 
         env.process(transfer2())

@@ -14,6 +14,7 @@ from repro.core.runtime import (
     RuntimeError_,
     SageRuntime,
 )
+from repro.core.runtime.kernel import _Send
 from repro.machine import Environment, SimCluster, SimulationError, cspi
 
 
@@ -94,17 +95,13 @@ class TestGlueTampering:
 
 
 class TestDeadlockDetection:
-    def test_missing_message_reports_deadlock(self):
+    def test_missing_message_reports_deadlock(self, monkeypatch):
         """If an arrival event is never triggered, the simulator names the
         problem instead of hanging forever."""
         runtime, _ = make_runtime(config=DEFAULT_CONFIG.timing_only())
 
-        # Sabotage: the transport "loses" every message (the generator ends
+        # Sabotage: the transport "loses" every message (the send ends
         # without firing the arrival event), so receivers wait forever.
-        def lossy_transfer(buf, msg, iteration, entry):
-            if False:
-                yield None
-
-        runtime._transfer_proc = lossy_transfer
+        monkeypatch.setattr(_Send, "_arrive", lambda send: send._finish())
         with pytest.raises(SimulationError, match="deadlock"):
             runtime.run(iterations=1)

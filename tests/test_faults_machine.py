@@ -28,7 +28,7 @@ def transfer_time(env, cluster, src=0, dst=1, nbytes=1 << 20, start=0.0):
         if start > 0:
             yield env.timeout(start)
         t0 = env.now
-        outcome = yield from cluster.transfer(src, dst, nbytes)
+        outcome = yield cluster.fabric.transfer(src, dst, nbytes)
         out["elapsed"] = env.now - t0
         out["outcome"] = outcome
 
@@ -90,7 +90,7 @@ class TestNodeFaults:
 
         def prog():
             yield env.timeout(1e-6)
-            yield from cluster.transfer(0, 1, 1024)
+            yield cluster.fabric.transfer(0, 1, 1024)
 
         env.process(prog())
         with pytest.raises(NodeFailure) as err:
@@ -143,7 +143,7 @@ class TestLinkFaults:
 
         def prog():
             yield env.timeout(1e-6)
-            yield from cluster.transfer(0, 1, 1024)
+            yield cluster.fabric.transfer(0, 1, 1024)
 
         env.process(prog())
         with pytest.raises(LinkFailure, match="0<->1 down"):
@@ -155,7 +155,7 @@ class TestLinkFaults:
 
         def prog():
             yield env.timeout(1e-6)
-            yield from cluster.transfer(0, 1, 1024)
+            yield cluster.fabric.transfer(0, 1, 1024)
 
         env.process(prog())
         with pytest.raises(LinkFailure):

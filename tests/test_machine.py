@@ -143,7 +143,7 @@ class TestFabric:
         ends = []
 
         def xfer(src, dst):
-            yield from fab.transfer(src, dst, 100e6)  # 1s + 10us inter-board
+            yield fab.transfer(src, dst, 100e6)  # 1s + 10us inter-board
             ends.append(env.now)
 
         env.process(xfer(0, 2))
@@ -157,7 +157,7 @@ class TestFabric:
         ends = []
 
         def xfer():
-            yield from fab.transfer(0, 2, 100e6)
+            yield fab.transfer(0, 2, 100e6)
             ends.append(env.now)
 
         env.process(xfer())
@@ -170,7 +170,7 @@ class TestFabric:
         ends = []
 
         def xfer(src, dst):
-            yield from fab.transfer(src, dst, 100e6)
+            yield fab.transfer(src, dst, 100e6)
             ends.append(env.now)
 
         env.process(xfer(0, 2))
@@ -183,7 +183,7 @@ class TestFabric:
         ends = []
 
         def xfer(src, dst):
-            yield from fab.transfer(src, dst, 4e6)
+            yield fab.transfer(src, dst, 4e6)
             ends.append((src, dst, env.now))
 
         env.process(xfer(0, 1))

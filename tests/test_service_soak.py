@@ -166,6 +166,41 @@ class TestInvariantCheckers:
         assert any("contamination" in v or "expected exactly 1" in v
                    for v in violations)
 
+    def test_telemetry_grouping_matches_pattern_scans(self):
+        """The one-pass grouping returns, for every job, exactly what a
+        ``history_for`` scan of its two patterns returns — on a clean soak
+        and after tampering — so the violations cannot have changed."""
+        from repro.service.soak import _build_service, _drive, group_history
+
+        svc = _build_service(4, 1)
+        _drive(svc, generate_workload(6, 1))
+
+        def assert_grouping_exact():
+            by_topic, by_head = group_history(svc.bus.history)
+            for job in svc.jobs.values():
+                probes = f"job.{job.id}.probes"
+                assert by_topic.get(probes, []) == svc.bus.history_for(probes)
+                assert (by_head.get(f"job.{job.id}", [])
+                        == svc.bus.history_for(f"job.{job.id}.*"))
+
+        assert_grouping_exact()
+        assert check_telemetry(svc) == []
+        done = [j for j in svc.jobs.values() if j.result is not None]
+        a, b = done[0], done[1]
+        svc.bus.publish(f"job.{b.id}.probes", "telemetry", time=99.0,
+                        job=a.id, events=1, sim_events=1, digest="x")
+        svc.bus.publish(f"job.{a.id}.lifecycle", "completed", time=99.0,
+                        job=b.id)
+        svc.bus.publish(f"job.{a.id}.extra.deep", "noise", time=99.0, job=b.id)
+        assert_grouping_exact()
+        completed = svc.stats().completed
+        assert check_telemetry(svc) == [
+            f"telemetry: {a.id}'s topic carries a message for {b.id!r}",
+            f"telemetry: {b.id} published 2 probe message(s), expected exactly 1",
+            f"telemetry: {completed + 1} 'completed' messages on the bus but "
+            f"service counted {completed}",
+        ]
+
     def test_quota_checker_catches_overcommit(self):
         from repro.service.scheduler import Lease
         from repro.service.soak import _build_service, _drive

@@ -19,6 +19,7 @@ from repro.machine.simulator import (
     Interrupt,
     Resource,
     SimulationError,
+    Task,
 )
 
 
@@ -223,3 +224,109 @@ class TestResourceCancel:
         # Regression guard: AnyOf is public API for the timeout patterns.
         env = Environment()
         assert isinstance(env.any_of([env.timeout(1)]), AnyOf)
+
+
+class _Holder(Task):
+    """Hold ``res`` for ``d`` after a ``d`` sleep, logging each step."""
+
+    __slots__ = ("res", "d", "log")
+
+    def __init__(self, env, res, d, log):
+        super().__init__(env)
+        self.res, self.d, self.log = res, d, log
+
+    def _run(self, event):
+        self.log.append(("start", self.env.now))
+        self._wait(self.env.timeout(self.d), self._slept)
+
+    def _slept(self, event):
+        self._use(self.res, self.d, self._done)
+
+    def _done(self, event):
+        self.log.append(("done", self.env.now))
+        self._finish("ok")
+
+    def _throw(self, exc):
+        self.log.append(("interrupted", self.env.now))
+        self._finish("interrupted")
+
+
+def _hold_gen(env, res, d, log):
+    log.append(("start", env.now))
+    try:
+        yield env.timeout(d)
+        yield from res.use(d)
+    except Interrupt:
+        log.append(("interrupted", env.now))
+        return "interrupted"
+    log.append(("done", env.now))
+    return "ok"
+
+
+class TestTaskMatchesProcess:
+    """A callback task makes the queue entries of the equivalent process."""
+
+    def _run(self, make, interrupt_at=None):
+        env = Environment()
+        res = Resource(env)
+        log = []
+        workers = [make(env, res, 1.0 + k, log) for k in range(3)]
+        if interrupt_at is not None:
+            env.run(until=interrupt_at)
+            workers[1].interrupt("test")
+        values = env.run(until=env.all_of(workers))
+        return log, values, env.events_processed, res.count, res.queue_length
+
+    @pytest.mark.parametrize("interrupt_at", [None, 0.0, 1.5, 2.0, 3.5])
+    def test_same_log_values_and_entries(self, interrupt_at):
+        task = self._run(_Holder, interrupt_at)
+        proc = self._run(
+            lambda env, res, d, log: env.process(_hold_gen(env, res, d, log)),
+            interrupt_at)
+        assert task == proc
+        assert task[3:] == (0, 0)
+
+    def test_reset_fails_a_queued_hold_like_a_queued_use(self):
+        def run(make):
+            env = Environment()
+            res = Resource(env)
+            log = []
+            make(env, res, 1.0, log)  # holds the resource from t=1
+            make(env, res, 1.0, log)  # queues for it at t=1
+            env.run(until=1.5)
+            res.reset()  # the queued request fails; so does the holder's release
+            errors = []
+            while env._imm0 or env._imm1 or env._queue:
+                with pytest.raises(SimulationError) as err:
+                    env.run()
+                errors.append((str(err.value), env.now))
+            return errors, log
+
+        assert run(_Holder) == run(
+            lambda env, res, d, log: env.process(_hold_gen(env, res, d, log)))
+
+    def test_unawaited_completion_entry_is_dropped(self):
+        class Quiet(_Holder):
+            __slots__ = ()
+            keep_completion = False
+
+        counts = []
+        for cls in (_Holder, Quiet):
+            env = Environment()
+            cls(env, Resource(env), 1.0, [])
+            env.run()
+            counts.append(env.events_processed)
+        assert counts[1] == counts[0] - 1
+
+    def test_exception_without_waiters_escapes_step(self):
+        class Boom(Task):
+            __slots__ = ()
+
+            def _run(self, event):
+                raise ValueError("boom")
+
+        env = Environment()
+        task = Boom(env)
+        with pytest.raises(ValueError, match="boom"):
+            env.run()
+        assert not task.is_alive and not task.ok
