@@ -5,8 +5,8 @@ functions, data striping, and buffer management."*
 
 :class:`SageRuntime` loads a generated glue module onto a simulated cluster
 and executes the application: one simulation process per (function instance,
-thread, iteration), sequenced by dataflow dependencies expressed as message
-arrival events, with the processor resources serialising co-mapped threads.
+thread, iteration), sequenced by dataflow dependencies expressed as counted
+message arrivals, with the processor resources serialising co-mapped threads.
 The run-time charges the overheads Table 1.0 measures — function-table
 dispatch, logical-buffer staging copies, striping bookkeeping — per the
 :class:`~repro.core.runtime.config.RuntimeConfig`.
@@ -20,7 +20,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ...machine.cluster import SimCluster
 from ...machine.faults import FaultError, LinkFailure, NodeFailure, TransientError
-from ...machine.simulator import Environment, Event, Interrupt, Process, Task
+from ...machine.simulator import (
+    Countdown, Environment, Event, Interrupt, Process, Task,
+)
 from ...mpi.detector import FailureDetector, HeartbeatConfig
 from ...perf.cache import cache_scope, invalidate_mapping_caches
 from ...perf.registry import REGISTRY
@@ -196,8 +198,9 @@ class SageRuntime:
             self.out_buffers[buf.src_function].append(buf)
             self.in_buffers[buf.dst_function].append(buf)
 
-        # Message arrival events: (buffer_id, iteration, dst_thread) -> [Event]
-        self._arrivals: Dict[Tuple[int, int, int], List[Event]] = {}
+        # Message arrivals: (buffer_id, iteration, dst_thread) -> one
+        # Countdown over that thread's planned messages (slot = message_slot).
+        self._arrivals: Dict[Tuple[int, int, int], Countdown] = {}
         # (function_id, thread) -> cached region/dtype dicts for ThreadContext
         # (iteration-independent; kernels treat them as read-only).
         self._ctx_dicts: Dict[Tuple[int, int], tuple] = {}
@@ -217,6 +220,10 @@ class SageRuntime:
         # re-places threads.
         self._buf_send_remote: Dict[Tuple[int, int], int] = {}
         self._buf_recv_remote: Dict[Tuple[int, int], int] = {}
+        # (buffer_id, src_thread) -> [(msg, src processor, dst processor)]
+        # in send order: each planned message's route, resolved once per
+        # placement and cleared wherever the remote tables are rebuilt.
+        self._routes: Dict[Tuple[int, int], List[tuple]] = {}
         self._compute_remote_tables()
 
     # -- setup helpers ---------------------------------------------------------
@@ -238,6 +245,7 @@ class SageRuntime:
         """(Re)build the per-(buffer, thread) cross-processor byte tables."""
         self._buf_send_remote = {}
         self._buf_recv_remote = {}
+        self._routes = {}
         for buf in self.buffers:
             send, recv = plan_remote_traffic(
                 buf.plan,
@@ -275,13 +283,27 @@ class SageRuntime:
                     f"smaller data sets (or disable enforce_memory)"
                 )
 
-    def _arrival_events(self, buf: RuntimeBuffer, iteration: int, dst_thread: int) -> List[Event]:
+    def _arrival(self, buf: RuntimeBuffer, iteration: int, dst_thread: int) -> Countdown:
         key = (buf.buffer_id, iteration, dst_thread)
-        events = self._arrivals.get(key)
-        if events is None:
-            events = [self.env.event() for _ in buf.messages_to(dst_thread)]
-            self._arrivals[key] = events
-        return events
+        arrival = self._arrivals.get(key)
+        if arrival is None:
+            arrival = Countdown(self.env, len(buf.messages_to(dst_thread)))
+            self._arrivals[key] = arrival
+        return arrival
+
+    def _routes_from(self, buf: RuntimeBuffer, src_thread: int) -> List[tuple]:
+        """``(msg, src, dst)`` for each message ``src_thread`` sends on
+        ``buf``, in send order, with both endpoints' current processors."""
+        key = (buf.buffer_id, src_thread)
+        routes = self._routes.get(key)
+        if routes is None:
+            src = self.processor_of(buf.src_function, src_thread)
+            routes = [
+                (msg, src, self.processor_of(buf.dst_function, msg.dst_thread))
+                for msg in buf.send_order(src_thread)
+            ]
+            self._routes[key] = routes
+        return routes
 
     # -- execution ---------------------------------------------------------------
     def run(
@@ -559,7 +581,7 @@ class SageRuntime:
         self._sink_results.pop(k, None)
         self._sink_times.pop(k, None)
         self._arrivals = {
-            key: events for key, events in self._arrivals.items() if key[1] != k
+            key: arrival for key, arrival in self._arrivals.items() if key[1] != k
         }
         self._probe_runtime(
             "restore",
@@ -828,6 +850,7 @@ class SageRuntime:
         byte-identical to :meth:`_compute_remote_tables` at the new
         placement — the golden-trace and bitwise tests lean on that.
         """
+        self._routes = {}
         moved = set(moved_keys)
         for buf in self.buffers:
             moved_src = {t for f, t in moved if f == buf.src_function}
@@ -1085,11 +1108,12 @@ class SageRuntime:
                 if target > self.env.now:
                     yield self.env.timeout(target - self.env.now)
 
-        # Wait for every inbound message of this iteration.
+        # Wait for every inbound message of this iteration.  The AllOf hop
+        # keeps the resume one entry after the last arrival's, as waiting on
+        # one event per message did.
         for buf in self.in_buffers[fid]:
-            events = self._arrival_events(buf, iteration, thread)
-            if events:
-                yield self.env.all_of(events)
+            if buf.messages_to(thread):
+                yield self.env.all_of([self._arrival(buf, iteration, thread)])
 
         # Straggler telemetry (migrate_stragglers): measure the wall span
         # from dispatch to exit per node.  A limping node's CPU-rate scaling
@@ -1191,9 +1215,9 @@ class SageRuntime:
             # Rotated send order (start past your own thread id) so concurrent
             # redistributions don't all target destination 0 first (ejection
             # convoys); this is the schedule a pairwise exchange produces.
-            for msg in buf.send_order(thread):
+            for msg, src, dst in self._routes_from(buf, thread):
                 _Send(self, iteration, msg.nbytes, msg_attempts,
-                      buf=buf, msg=msg, entry=entry)
+                      buf=buf, msg=msg, entry=entry, src=src, dst=dst)
 
         if track_progress:
             per_node = self._iter_busy.setdefault(iteration, {})
@@ -1322,10 +1346,10 @@ class SageRuntime:
 class _Send(Task):
     """One planned message, or one checkpointed region, crossing the fabric.
 
-    A message resolves its processors when it starts, holds the source CPU
-    for the striping overhead, and probes ``send`` and ``arrive`` around
-    the crossing; a region move (``msg`` None) between fixed processors
-    only crosses.  Both retransmit lost or corrupted deliveries and link
+    A message is created with its route (``SageRuntime._routes_from``),
+    holds the source CPU for the striping overhead, and probes ``send`` and
+    ``arrive`` around the crossing; a region move (``msg`` None) between
+    fixed processors only crosses.  Both retransmit lost or corrupted deliveries and link
     outages, up to ``attempts`` times with the policy's backoff; node
     crashes propagate.  Nothing waits on a message, so its completion entry
     is dropped.  An interrupt gives back what the send holds and ends it.
@@ -1347,11 +1371,9 @@ class _Send(Task):
         rt._sends[self] = None
 
     def _run(self, event: Event) -> None:
-        rt, buf, msg = self.rt, self.buf, self.msg
-        if msg is None:
+        if self.msg is None:
             return self._transmit()
-        self.src = rt.processor_of(buf.src_function, msg.src_thread)
-        self.dst = rt.processor_of(buf.dst_function, msg.dst_thread)
+        rt = self.rt
         node = rt.cluster.node(self.src)
         overhead = rt.config.striping_overhead_per_message
         if overhead <= 0:
@@ -1414,7 +1436,7 @@ class _Send(Task):
         rt, buf, msg = self.rt, self.buf, self.msg
         rt._probe("arrive", rt.functions[buf.dst_function], msg.dst_thread,
                   self.k, self.dst, detail=buf.name, nbytes=self.nbytes)
-        rt._arrival_events(buf, self.k, msg.dst_thread)[buf.message_slot(msg)].succeed()
+        rt._arrival(buf, self.k, msg.dst_thread).mark(buf.message_slot(msg))
         self._finish()
 
     def _finish(self, value: Any = None) -> None:

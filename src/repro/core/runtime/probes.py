@@ -12,7 +12,9 @@ declares (function enter/exit) plus message send/arrive events; the
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, List, Optional
 
 __all__ = ["ProbeEvent", "Trace", "PROBE_KINDS"]
@@ -127,11 +129,9 @@ class Trace:
         return max(times) - min(times)
 
     def counts_by_kind(self) -> dict:
-        """Event count per probe kind (only kinds that occurred)."""
-        out: dict = {}
-        for e in self.events:
-            out[e.kind] = out.get(e.kind, 0) + 1
-        return out
+        """Event count per probe kind (only kinds that occurred), in order
+        of first occurrence."""
+        return dict(Counter(map(attrgetter("kind"), self.events)))
 
     # -- canonical form --------------------------------------------------
     def canonical(self) -> str:

@@ -3,6 +3,7 @@
 from .simulator import (
     AllOf,
     AnyOf,
+    Countdown,
     Environment,
     Event,
     Hold,
@@ -31,6 +32,7 @@ from . import perfmodel
 __all__ = [
     "AllOf",
     "AnyOf",
+    "Countdown",
     "Environment",
     "Event",
     "Hold",

@@ -27,7 +27,9 @@ Design notes
 * A :class:`Task` is a process written as callbacks instead of a generator:
   the same queue entries, without a generator resume per wait.  A
   :class:`Hold` takes resources in order and holds them for a duration, as
-  one event (what :meth:`Resource.use` does for one resource).
+  one event (what :meth:`Resource.use` does for one resource).  A
+  :class:`Countdown` fires once each of its ``n`` slots has been marked:
+  one entry where ``n`` events waited on together would make ``n``.
 * :class:`Store` is an unbounded FIFO channel with blocking ``get``;
   :class:`Resource` is a counted lock used to model link/bus contention.
 
@@ -49,6 +51,7 @@ __all__ = [
     "Hold",
     "Task",
     "AllOf",
+    "Countdown",
     "AnyOf",
     "Store",
     "Resource",
@@ -517,6 +520,40 @@ class AllOf(Event):
         self._remaining -= 1
         if self._remaining == 0:
             self.succeed([ev.value for ev in self.events])
+
+
+class Countdown(Event):
+    """A counted dependence: fires once each of ``n`` slots has been marked.
+
+    It stands in for ``n`` events that are each succeeded once and only
+    ever waited on together: :meth:`mark` is the ``succeed`` of slot
+    ``slot``, and only the last mark schedules an entry, where the last of
+    those events would have scheduled its own.  Waiting on
+    ``env.all_of([countdown])`` therefore resumes at the entry where
+    ``env.all_of(events)`` would have; the entries dropped are those whose
+    only effect was to count down.  Marking a slot twice (or one outside
+    ``range(n)``) raises :class:`SimulationError`, as succeeding an event
+    twice does.  With ``n == 0`` it fires at once, as an empty
+    :class:`AllOf` does.
+    """
+
+    __slots__ = ("_open",)
+
+    def __init__(self, env: "Environment", n: int):
+        super().__init__(env)
+        self._open = (1 << n) - 1  # bit i is set until slot i is marked
+        if n == 0:
+            self.succeed()
+
+    def mark(self, slot: int) -> None:
+        bit = 1 << slot
+        if not self._open & bit:
+            raise SimulationError(
+                f"countdown slot {slot} already marked or out of range"
+            )
+        self._open ^= bit
+        if not self._open:
+            self.succeed()
 
 
 class AnyOf(Event):

@@ -19,6 +19,7 @@ from repro.core.codegen import generate_glue
 from repro.core.model import Mapping
 from repro.core.model.mapping import grow_mapping, shrink_mapping
 from repro.core.runtime import DEFAULT_CONFIG, SageRuntime
+from repro.core.runtime.kernel import _Send
 from repro.core.runtime.striping import (
     plan_remote_traffic,
     plan_remote_traffic_delta,
@@ -69,6 +70,25 @@ def baselines():
                 corner_turn_model, policy=FaultPolicy.grow_restripe())),
         },
     }
+
+
+def route_spy(monkeypatch):
+    """Record each planned message as it is sent: its ``(src, dst)``, the
+    placement ``processor_of`` gives then, and the glue's own placement."""
+    sends = []
+    post = _Send._post
+
+    def spy(send):
+        rt, buf, msg = send.rt, send.buf, send.msg
+        ends = ((buf.src_function, msg.src_thread),
+                (buf.dst_function, msg.dst_thread))
+        sends.append(((send.src, send.dst),
+                      tuple(rt.processor_of(*end) for end in ends),
+                      tuple(rt.glue.processor_of(*end) for end in ends)))
+        post(send)
+
+    monkeypatch.setattr(_Send, "_post", spy)
+    return sends
 
 
 def elastic_plan(base_makespan, kills=1, seed=5):
@@ -537,3 +557,21 @@ class TestGrowRestripe:
             ]
 
         assert cycle_trace() == cycle_trace()
+
+
+class TestRouteInvalidation:
+    @pytest.mark.parametrize("policy", [FaultPolicy.shrink_restripe,
+                                        FaultPolicy.grow_restripe])
+    def test_every_send_follows_the_current_placement(self, baselines,
+                                                      monkeypatch, policy):
+        """Routes are resolved once per placement; each shrink and grow
+        must drop them, or a send goes to a thread's old processor."""
+        sends = route_spy(monkeypatch)
+        base = baselines["clean"]["fft2d"]
+        runtime = make_runtime(fft2d_model, plan=elastic_plan(base.makespan),
+                               policy=policy())
+        run(runtime)
+        assert sends
+        assert all(route == placed for route, placed, _ in sends)
+        # Some sends ran on a re-placed mapping, where a stale route shows.
+        assert any(placed != home for _, placed, home in sends)

@@ -13,6 +13,8 @@ from repro.machine import Environment, SimCluster, get_platform
 from repro.mpi.adaptive import RttEstimator
 from repro.mpi.detector import FailureDetector, HeartbeatConfig
 
+from .test_elasticity import route_spy
+
 PERIOD = 1e-4
 
 
@@ -125,8 +127,7 @@ def test_adaptive_still_declares_a_real_crash():
 
 # -- the runtime's drain/restore migration -----------------------------------
 
-@pytest.fixture(scope="module")
-def straggler_run():
+def straggler_runtime():
     nodes = 4
     model = fft2d_slack_model(28, 14)
     glue = generate_glue(model, benchmark_mapping(model, nodes),
@@ -140,10 +141,13 @@ def straggler_run():
     env = Environment()
     cluster = SimCluster.from_platform(env, get_platform("cspi"), nodes,
                                        fault_plan=plan)
-    runtime = SageRuntime(glue, cluster, config=DEFAULT_CONFIG.timing_only(),
-                          fault_policy=FaultPolicy.migrate_stragglers())
-    result = runtime.run(iterations=12)
-    return result
+    return SageRuntime(glue, cluster, config=DEFAULT_CONFIG.timing_only(),
+                       fault_policy=FaultPolicy.migrate_stragglers())
+
+
+@pytest.fixture(scope="module")
+def straggler_run():
+    return straggler_runtime().run(iterations=12)
 
 
 def test_migration_drains_and_restores(straggler_run):
@@ -155,6 +159,18 @@ def test_migration_drains_and_restores(straggler_run):
     assert straggler_run.trace.by_kind("suspect_slow")
     # Proactive migration, not fail-over: nobody is declared dead.
     assert not straggler_run.trace.by_kind("declare_dead")
+
+
+def test_drain_and_restore_route_sends_by_current_placement(monkeypatch):
+    """Routes are resolved once per placement; a drain and a restore must
+    drop them, or a send goes to a thread's old processor."""
+    sends = route_spy(monkeypatch)
+    result = straggler_runtime().run(iterations=12)
+    details = [m.detail for m in result.trace.by_kind("migrate_straggler")]
+    assert any(d.startswith("drained") for d in details)
+    assert any(d.startswith("restored") for d in details)
+    assert all(route == placed for route, placed, _ in sends)
+    assert any(placed != home for _, placed, home in sends)
 
 
 def test_migration_completes_all_iterations(straggler_run):
